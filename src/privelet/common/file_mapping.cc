@@ -1,5 +1,6 @@
 #include "privelet/common/file_mapping.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
@@ -62,7 +63,7 @@ Result<MappedFile> MappedFile::Open(const std::string& path) {
 #if defined(POSIX_MADV_WILLNEED)
   (void)::posix_madvise(addr, size, POSIX_MADV_WILLNEED);
 #endif
-  return MappedFile(addr, size, /*writable=*/false, /*release_safe=*/false);
+  return MappedFile(addr, size, /*writable=*/false, /*release_safe=*/true);
 #endif
 }
 
@@ -145,11 +146,19 @@ std::span<std::byte> MappedFile::mutable_bytes() const {
   return {static_cast<std::byte*>(addr_), size_};
 }
 
-void MappedFile::ReleaseResidency() const {
+void MappedFile::ReleaseResidency(std::size_t offset,
+                                  std::size_t length) const {
 #if !defined(_WIN32)
-  if (release_safe_ && addr_ != nullptr) {
-    (void)::madvise(addr_, size_, MADV_DONTNEED);
-  }
+  if (!release_safe_ || addr_ == nullptr || offset >= size_) return;
+  length = std::min(length, size_ - offset);
+  // madvise needs a page-aligned start; the mapping base is one.
+  const std::size_t page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  const std::size_t begin = offset - offset % page;
+  (void)::madvise(static_cast<char*>(addr_) + begin, offset + length - begin,
+                  MADV_DONTNEED);
+#else
+  (void)offset;
+  (void)length;
 #endif
 }
 

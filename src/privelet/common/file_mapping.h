@@ -17,6 +17,7 @@
 #define PRIVELET_COMMON_FILE_MAPPING_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 
@@ -78,15 +79,18 @@ class MappedFile {
   /// True for CreateScratch / CreateAnonymous mappings.
   bool writable() const { return writable_; }
 
-  /// Drops the mapping's resident pages (MADV_DONTNEED) so they stop
-  /// counting against the process RSS. Only file-backed scratch mappings
-  /// honor this — their dirty pages survive in the page cache and fault
-  /// back in on next access, so contents are unaffected. For read-only
-  /// and anonymous mappings this is a no-op (discarding an anonymous
-  /// page would destroy its contents). Safe to call concurrently with
+  /// Drops the resident pages of bytes [offset, offset + length) —
+  /// clamped to the mapping, widened to whole pages; the whole mapping
+  /// by default — (MADV_DONTNEED) so they stop counting against the
+  /// process RSS. File-backed mappings honor this: read-only pages and
+  /// scratch pages (dirty ones included) survive in the page cache and
+  /// fault back in on next access, so contents are unaffected. For
+  /// anonymous mappings this is a no-op (discarding an anonymous page
+  /// would destroy its contents). Safe to call concurrently with
   /// readers/writers of the same mapping: they take minor faults and see
   /// the stored data.
-  void ReleaseResidency() const;
+  void ReleaseResidency(std::size_t offset = 0,
+                        std::size_t length = SIZE_MAX) const;
 
  private:
   MappedFile(void* addr, std::size_t size, bool writable, bool release_safe)

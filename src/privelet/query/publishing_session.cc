@@ -107,12 +107,11 @@ CompiledWorkload PublishingSession::Compile(
 
 std::vector<double> PublishingSession::AnswerCompiled(
     const CompiledWorkload& workload) const {
-  const simd::IsaLevel level = simd::ResolveIsa(options_.isa);
   std::vector<double> answers(workload.num_queries());
   common::ParallelFor(pool_, workload.num_queries(), /*grain=*/0,
                       [&](std::size_t begin, std::size_t end) {
                         workload.AnswerInto(evaluator_->table(), begin, end,
-                                            level, answers.data() + begin);
+                                            answers.data() + begin);
                       });
   return answers;
 }

@@ -173,9 +173,8 @@ class PublishingSession {
   CompiledWorkload Compile(std::span<const RangeQuery> queries) const;
 
   /// Answers a compiled batch, in input order, fanned across the session
-  /// pool and evaluated through the dispatched gather kernels at this
-  /// session's resolved ISA level. Bit-identical to AnswerAll on the
-  /// same queries (query::CompiledWorkload header). Thread-safe.
+  /// pool. Bit-identical to AnswerAll on the same queries
+  /// (query::CompiledWorkload header). Thread-safe.
   std::vector<double> AnswerCompiled(const CompiledWorkload& workload) const;
 
  private:

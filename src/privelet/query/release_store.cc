@@ -28,18 +28,25 @@ Status ReleaseStore::Rebind(std::string id, std::string path) {
   if (id.empty()) {
     return Status::InvalidArgument("release id must be non-empty");
   }
+  // Open before touching the binding, outside the lock: a bad path fails
+  // here and the id keeps serving what it served before.
+  PRIVELET_ASSIGN_OR_RETURN(PublishingSession opened,
+                            storage::OpenServingSession(path, options_.pool));
+  auto session = std::make_shared<const PublishingSession>(std::move(opened));
+
   std::lock_guard<std::mutex> lock(mu_);
+  ++stats_.loads;
   Entry& entry = entries_[std::move(id)];
   entry.path = std::move(path);
   ++entry.generation;
-  if (entry.session != nullptr) {
-    entry.session.reset();
-    ++stats_.evictions;
-  }
+  if (entry.session != nullptr) ++stats_.evictions;
+  entry.session = std::move(session);
+  entry.last_used = ++tick_;
   // Detach any in-flight load of the old path: its waiters still get the
   // old session, but the loader will see the generation change and not
-  // install it; the next Acquire starts a fresh load of the new path.
+  // install it.
   entry.inflight.reset();
+  EnforceBoundLocked(&entry);
   return Status::OK();
 }
 

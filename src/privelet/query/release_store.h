@@ -52,7 +52,7 @@ class ReleaseStore {
   /// Monotonic counters since construction (a snapshot; taken under the
   /// store lock).
   struct Stats {
-    std::uint64_t loads = 0;      ///< snapshot opens (mapped or copy)
+    std::uint64_t loads = 0;      ///< snapshot opens (Acquire or Rebind)
     std::uint64_t hits = 0;       ///< Acquire calls served by a resident session
     std::uint64_t evictions = 0;  ///< sessions dropped by the LRU bound or Evict
   };
@@ -65,11 +65,13 @@ class ReleaseStore {
   Status Register(std::string id, std::string path);
 
   /// Points `id` at `path`, registering it if unknown — the hot-swap
-  /// behind the daemon's RELOAD verb. Any resident session for `id` is
-  /// dropped (borrowed shared_ptrs stay valid; in-flight borrowers finish
-  /// on the old release) and the next Acquire loads the new file. A load
-  /// of the old path still in flight when Rebind runs is discarded on
-  /// completion instead of being installed.
+  /// behind the daemon's RELOAD verb. The new file is opened first,
+  /// outside the store lock; if that fails the error is returned and the
+  /// id keeps its old path, session and generation. On success the new
+  /// session replaces any resident one (borrowed shared_ptrs stay valid;
+  /// in-flight borrowers finish on the old release), and a load of the
+  /// old path still in flight is discarded on completion instead of
+  /// being installed.
   Status Rebind(std::string id, std::string path);
 
   /// All registered ids, sorted.

@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "privelet/common/io_util.h"
-#include "privelet/query/compiled_workload.h"
 #include "privelet/simd/dispatch.h"
 
 #if defined(__linux__)
@@ -19,7 +18,6 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 #endif
@@ -78,13 +76,10 @@ Server::~Server() {
     if (loop == nullptr) continue;
     for (auto& [fd, conn] : loop->connections) common::CloseFd(fd);
     loop->connections.clear();
-    for (const int fd : loop->handoff_queue) common::CloseFd(fd);
-    loop->handoff_queue.clear();
     if (loop->listen_fd >= 0) common::CloseFd(loop->listen_fd);
     if (loop->epoll_fd >= 0) common::CloseFd(loop->epoll_fd);
     if (loop->wake_read_fd >= 0) common::CloseFd(loop->wake_read_fd);
     if (loop->wake_write_fd >= 0) common::CloseFd(loop->wake_write_fd);
-    if (loop->handoff_fd >= 0) common::CloseFd(loop->handoff_fd);
   }
 #endif
 }
@@ -143,78 +138,17 @@ Status Server::Start() {
                          1, std::thread::hardware_concurrency());
   num_loops_ = std::min(num_loops_, kMaxLoops);
 
-  switch (options_.accept_mode) {
-    case ServerOptions::AcceptMode::kHandoff:
-      handoff_ = num_loops_ > 1;
-      break;
-    case ServerOptions::AcceptMode::kReusePort:
-    case ServerOptions::AcceptMode::kAuto: {
-      handoff_ = false;
-      if (num_loops_ > 1) {
-        // Probe SO_REUSEPORT on a scratch socket; every modern Linux has
-        // it, but the fallback keeps the daemon multi-loop regardless.
-        const int probe =
-            ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-        const int one = 1;
-        const bool supported =
-            probe >= 0 && ::setsockopt(probe, SOL_SOCKET, SO_REUSEPORT, &one,
-                                       sizeof(one)) == 0;
-        if (probe >= 0) common::CloseFd(probe);
-        if (!supported) {
-          if (options_.accept_mode == ServerOptions::AcceptMode::kReusePort) {
-            return Status::IOError("SO_REUSEPORT is not supported here");
-          }
-          handoff_ = true;
-        }
-      }
-      break;
-    }
-  }
-
+  // Loop 0 binds first: its port (possibly ephemeral) is the one the
+  // rest of a REUSEPORT group binds, and where SO_REUSEPORT is
+  // unavailable SetupListener cuts the daemon to that one loop.
   loops_.clear();
   loops_.reserve(num_loops_);
   for (std::size_t i = 0; i < num_loops_; ++i) {
     auto loop = std::make_unique<EventLoop>();
     loop->index = i;
     loops_.push_back(std::move(loop));
-  }
-  for (const auto& loop : loops_) {
-    PRIVELET_RETURN_IF_ERROR(SetupLoop(*loop));
-  }
-
-  // Listeners. Sharded mode: one SO_REUSEPORT listener per loop, the
-  // first bind resolving an ephemeral port for the rest of the group.
-  // Handoff mode (and num_loops == 1): a single listener on loop 0, plus
-  // an eventfd per other loop for the fd handover.
-  const std::size_t listeners = handoff_ ? 1 : num_loops_;
-  for (std::size_t i = 0; i < listeners; ++i) {
-    PRIVELET_RETURN_IF_ERROR(
-        SetupListener(*loops_[i], /*reuse_port=*/!handoff_ && num_loops_ > 1));
-    struct epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = loops_[i]->listen_fd;
-    if (::epoll_ctl(loops_[i]->epoll_fd, EPOLL_CTL_ADD, loops_[i]->listen_fd,
-                    &ev) != 0) {
-      return Status::IOError("epoll_ctl(listener) failed: " +
-                             common::ErrnoMessage());
-    }
-  }
-  if (handoff_) {
-    for (std::size_t i = 1; i < num_loops_; ++i) {
-      EventLoop& loop = *loops_[i];
-      loop.handoff_fd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-      if (loop.handoff_fd < 0) {
-        return Status::IOError("eventfd failed: " + common::ErrnoMessage());
-      }
-      struct epoll_event ev{};
-      ev.events = EPOLLIN;
-      ev.data.fd = loop.handoff_fd;
-      if (::epoll_ctl(loop.epoll_fd, EPOLL_CTL_ADD, loop.handoff_fd, &ev) !=
-          0) {
-        return Status::IOError("epoll_ctl(handoff eventfd) failed: " +
-                               common::ErrnoMessage());
-      }
-    }
+    PRIVELET_RETURN_IF_ERROR(SetupLoop(*loops_[i]));
+    PRIVELET_RETURN_IF_ERROR(SetupListener(*loops_[i]));
   }
   uptime_.Restart();
   return Status::OK();
@@ -243,7 +177,7 @@ Status Server::SetupLoop(EventLoop& loop) {
   return Status::OK();
 }
 
-Status Server::SetupListener(EventLoop& loop, bool reuse_port) {
+Status Server::SetupListener(EventLoop& loop) {
   loop.listen_fd =
       ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (loop.listen_fd < 0) {
@@ -254,11 +188,17 @@ Status Server::SetupListener(EventLoop& loop, bool reuse_port) {
   // of its predecessor instead of flaking with EADDRINUSE.
   (void)::setsockopt(loop.listen_fd, SOL_SOCKET, SO_REUSEADDR, &one,
                      sizeof(one));
-  if (reuse_port &&
+  // One SO_REUSEPORT listener per loop; the kernel spreads accepts
+  // across the group. Without it (Linux < 3.9) only loop 0 can listen,
+  // so the daemon runs one loop; STATS `loops` reports the count.
+  if (num_loops_ > 1 &&
       ::setsockopt(loop.listen_fd, SOL_SOCKET, SO_REUSEPORT, &one,
                    sizeof(one)) != 0) {
-    return Status::IOError("setsockopt(SO_REUSEPORT) failed: " +
-                           common::ErrnoMessage());
+    if (loop.index != 0) {
+      return Status::IOError("setsockopt(SO_REUSEPORT) failed: " +
+                             common::ErrnoMessage());
+    }
+    num_loops_ = 1;
   }
 
   struct sockaddr_in addr{};
@@ -287,6 +227,13 @@ Status Server::SetupListener(EventLoop& loop, bool reuse_port) {
       return Status::IOError("getsockname failed: " + common::ErrnoMessage());
     }
     port_ = ntohs(bound.sin_port);
+  }
+  struct epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = loop.listen_fd;
+  if (::epoll_ctl(loop.epoll_fd, EPOLL_CTL_ADD, loop.listen_fd, &ev) != 0) {
+    return Status::IOError("epoll_ctl(listener) failed: " +
+                           common::ErrnoMessage());
   }
   return Status::OK();
 }
@@ -321,11 +268,6 @@ Status Server::Run() {
       open_connections_.fetch_sub(1, std::memory_order_relaxed);
     }
     loop->connections.clear();
-    for (const int fd : loop->handoff_queue) {
-      common::CloseFd(fd);
-      open_connections_.fetch_sub(1, std::memory_order_relaxed);
-    }
-    loop->handoff_queue.clear();
   }
   for (const Status& status : statuses) {
     if (!status.ok()) return status;
@@ -353,13 +295,6 @@ Status Server::RunLoop(EventLoop& loop) {
         char drain[64];
         while (::read(loop.wake_read_fd, drain, sizeof(drain)) > 0) {
         }
-        continue;
-      }
-      if (fd == loop.handoff_fd) {
-        std::uint64_t drain = 0;
-        [[maybe_unused]] ssize_t rc =
-            ::read(loop.handoff_fd, &drain, sizeof(drain));
-        AdoptHandoff(loop);
         continue;
       }
       const auto it = loop.connections.find(fd);
@@ -426,20 +361,6 @@ void Server::AcceptPending(EventLoop& loop) {
     (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     loop.counters.connections_accepted.fetch_add(1,
                                                  std::memory_order_relaxed);
-    if (handoff_ && num_loops_ > 1) {
-      // Round-robin over all loops, including the acceptor itself.
-      EventLoop& target = *loops_[accept_rr_++ % num_loops_];
-      if (target.index != loop.index) {
-        {
-          std::lock_guard<std::mutex> lock(target.handoff_mu);
-          target.handoff_queue.push_back(fd);
-        }
-        const std::uint64_t ping = 1;
-        [[maybe_unused]] ssize_t rc =
-            ::write(target.handoff_fd, &ping, sizeof(ping));
-        continue;
-      }
-    }
     AdoptConnection(loop, fd);
   }
 }
@@ -456,15 +377,6 @@ void Server::AdoptConnection(EventLoop& loop, int fd) {
     return;
   }
   loop.connections.emplace(fd, std::move(conn));
-}
-
-void Server::AdoptHandoff(EventLoop& loop) {
-  std::vector<int> fds;
-  {
-    std::lock_guard<std::mutex> lock(loop.handoff_mu);
-    fds.swap(loop.handoff_queue);
-  }
-  for (const int fd : fds) AdoptConnection(loop, fd);
 }
 
 void Server::CloseConnection(EventLoop& loop, int fd) {
@@ -919,10 +831,10 @@ Result<std::vector<double>> Server::AnswerSpecQueries(
 
 Result<std::string> Server::DoReload(EventLoop& loop, const std::string& id,
                                      const std::string& path) {
+  // Rebind opens the file before swapping it in, so a bad path is this
+  // RELOAD's error and the id keeps serving its old release; in-flight
+  // borrowers of the old session are untouched either way.
   PRIVELET_RETURN_IF_ERROR(store_->Rebind(id, path));
-  // Load eagerly so a bad path is the RELOAD's error, not the next
-  // query's; in-flight borrowers of the old session are untouched.
-  PRIVELET_RETURN_IF_ERROR(store_->Acquire(id).status());
   loop.counters.reloads.fetch_add(1, std::memory_order_relaxed);
   return "reloaded " + id;
 }
@@ -954,9 +866,10 @@ std::string Server::RenderStatsText() {
   line("store_hits", store_stats.hits);
   line("store_evictions", store_stats.evictions);
   line("store_resident", store_->resident_count());
-  // Kernel dispatch attribution: which vector level query evaluation and
-  // reloads run at (and what the host could run), so a fleet operator can
-  // spot a daemon silently pinned to scalar by a stray PRIVELET_ISA.
+  // Kernel dispatch attribution: the vector level this process's kernels
+  // resolve to (and what the host could run), so a fleet operator can spot
+  // a daemon silently pinned to scalar by a stray PRIVELET_ISA. Query
+  // evaluation itself is a scalar fold and does not depend on it.
   out += "isa_active " + std::string(simd::IsaLevelName(simd::ResolveIsa())) +
          "\n";
   out += "isa_best " +

@@ -9,19 +9,18 @@
 // its own epoll instance and its accepted connections — connection state
 // is never shared, so request handling needs no locks. Connections reach
 // the loops through per-loop SO_REUSEPORT listeners (the kernel spreads
-// accepts across the listen sockets); where REUSEPORT is unavailable —
-// or when ServerOptions::accept_mode forces it — loop 0 is the single
-// acceptor and hands accepted fds to the other loops round-robin over a
-// per-loop eventfd. A request's AnswerAll still fans its batch across
-// the store's worker pool; batches past `compile_batch_threshold` are
-// pre-resolved into a query::CompiledWorkload and evaluated through the
-// dispatched SIMD gather kernels (bit-identical to the per-query scalar
-// walk — docs/DETERMINISM.md). Each loop also keeps small per-release
-// LRU answer caches (canonical predicate bytes -> answer), invalidated
-// by the store's Rebind generation, so hot repeated queries skip the
-// table walk. Pipelining is free: clients may send many requests back to
-// back; a loop answers them in order, up to `max_pipeline` per
-// connection per cycle before its other connections get a turn.
+// accepts across the listen sockets); where REUSEPORT is unavailable
+// (Linux before 3.9) the daemon runs one loop, and num_loops() and the
+// STATS `loops` line say so. A request's AnswerAll still fans its batch
+// across the store's worker pool; batches past `compile_batch_threshold`
+// are pre-resolved into a query::CompiledWorkload whose scalar fold is
+// bit-identical to the per-query walk (docs/DETERMINISM.md). Each loop
+// also keeps small per-release LRU answer caches (canonical predicate
+// bytes -> answer), invalidated by the store's Rebind generation, so hot
+// repeated queries skip the table walk. Pipelining is free: clients may
+// send many requests back to back; a loop answers them in order, up to
+// `max_pipeline` per connection per cycle before its other connections
+// get a turn.
 //
 // Observability: per-loop counters are plain relaxed atomics and latency
 // histograms are lock-free ConcurrentHistograms; stats() and the STATS
@@ -67,13 +66,6 @@
 namespace privelet::serving {
 
 struct ServerOptions {
-  /// How accepted connections are distributed across the event loops.
-  /// kAuto uses per-loop SO_REUSEPORT listeners when the platform has
-  /// them and falls back to the single-acceptor eventfd handoff
-  /// otherwise; the explicit modes force one path (kReusePort fails
-  /// Start() where unsupported). Irrelevant at num_loops = 1.
-  enum class AcceptMode { kAuto, kReusePort, kHandoff };
-
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = ephemeral; read the bound port with port()
   int backlog = 128;
@@ -87,16 +79,15 @@ struct ServerOptions {
   /// of this, the connection is dropped when it is exceeded.
   std::size_t max_buffered_bytes = std::size_t{4} << 20;
   /// Sharded event loops; 0 = one per hardware thread. 1 preserves the
-  /// single-loop daemon exactly.
+  /// single-loop daemon exactly. Without SO_REUSEPORT the daemon runs one
+  /// loop whatever this asks for.
   std::size_t num_loops = 0;
-  AcceptMode accept_mode = AcceptMode::kAuto;
   /// Per-release, per-loop bound on the repeated-query answer cache;
   /// 0 disables caching.
   std::size_t answer_cache_entries = 1024;
   /// Batches with at least this many uncached queries are evaluated
-  /// through the compiled-workload SIMD path; smaller ones (and 0,
-  /// disabling it) take the per-query scalar walk. Answers are
-  /// bit-identical either way.
+  /// through a query::CompiledWorkload; smaller ones (and 0, disabling
+  /// it) take the per-query walk. Answers are bit-identical either way.
   std::size_t compile_batch_threshold = 8;
 };
 
@@ -123,7 +114,8 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Binds and listens. After an OK return, port() is the bound port and
-  /// num_loops() the resolved loop count.
+  /// num_loops() the resolved loop count (1 where SO_REUSEPORT is
+  /// unavailable).
   Status Start();
 
   /// The bound TCP port (valid after Start).
@@ -176,17 +168,13 @@ class Server {
   /// Everything one event loop owns. Connection state, ready list,
   /// answer caches, and the latency-slot cache are touched only by the
   /// owning loop thread; the counters/histograms are lock-free for
-  /// cross-thread readers; the handoff queue is the one mutex-guarded
-  /// hand-over point (single-acceptor mode only).
+  /// cross-thread readers.
   struct EventLoop {
     std::size_t index = 0;
     int epoll_fd = -1;
-    int listen_fd = -1;   ///< per-loop listener; -1 on loops >0 in handoff
+    int listen_fd = -1;  ///< this loop's SO_REUSEPORT listener
     int wake_read_fd = -1;
     int wake_write_fd = -1;
-    int handoff_fd = -1;  ///< eventfd pinged by the acceptor (handoff mode)
-    std::mutex handoff_mu;
-    std::vector<int> handoff_queue;  ///< accepted fds parked for this loop
     std::map<int, std::unique_ptr<Connection>> connections;
     std::vector<int> ready;  ///< fds with buffered complete requests
     LoopCounters counters;
@@ -199,11 +187,10 @@ class Server {
   };
 
   Status SetupLoop(EventLoop& loop);
-  Status SetupListener(EventLoop& loop, bool reuse_port);
+  Status SetupListener(EventLoop& loop);
   Status RunLoop(EventLoop& loop);
   void AcceptPending(EventLoop& loop);
   void AdoptConnection(EventLoop& loop, int fd);
-  void AdoptHandoff(EventLoop& loop);
   void OnReadable(EventLoop& loop, Connection& conn);
   void ProcessConnection(EventLoop& loop, Connection& conn);
   bool ProcessText(EventLoop& loop, Connection& conn, std::size_t* budget);
@@ -224,8 +211,8 @@ class Server {
   Result<std::vector<double>> AnswerTimed(EventLoop& loop,
                                           const std::string& id,
                                           const BuildQueries& build);
-  /// Scalar per-query walk below the compile threshold, compiled SIMD
-  /// evaluation at or above it.
+  /// Per-query walk below the compile threshold, compiled evaluation at
+  /// or above it.
   std::vector<double> Evaluate(const query::PublishingSession& session,
                                std::span<const query::RangeQuery> queries);
   ConcurrentHistogram* LatencySlot(EventLoop& loop, const std::string& id);
@@ -250,7 +237,6 @@ class Server {
   const ServerOptions options_;
 
   std::size_t num_loops_ = 1;  ///< resolved by Start()
-  bool handoff_ = false;       ///< single-acceptor fd handoff in effect
   /// Loop slots are allocated and wired in Start() and structurally
   /// immutable afterwards — Shutdown() (possibly from a signal handler)
   /// only reads wake fds written before Run() began.
@@ -258,7 +244,6 @@ class Server {
   std::uint16_t port_ = 0;
   std::atomic<bool> stop_{false};
   std::atomic<std::size_t> open_connections_{0};
-  std::size_t accept_rr_ = 0;  ///< handoff round-robin; acceptor loop only
   Stopwatch uptime_;
 
   /// id -> one ConcurrentHistogram per loop (index-aligned with loops_).

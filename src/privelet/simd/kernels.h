@@ -10,7 +10,9 @@
 // reorders any per-item operation sequence. Operations that cannot keep
 // that promise are not in the table and stay scalar at every level:
 // libm's log (no bit-compatible vector version exists) and the long-double
-// prefix accumulators (x87 has no vector form).
+// prefix accumulators (x87 has no vector form) — including the serving
+// fold of query::CompiledWorkload, which reads its slots straight from
+// the table with no dispatched kernel at all.
 #ifndef PRIVELET_SIMD_KERNELS_H_
 #define PRIVELET_SIMD_KERNELS_H_
 
@@ -93,17 +95,6 @@ struct KernelTable {
                               std::size_t run);  // curr[b] += prev[b]
   void (*prefix_scan_i64)(std::int64_t* line,
                           std::size_t n);  // in-place inclusive scan
-
-  // ---- 16-byte slot gather (compiled-workload query evaluation) ---------
-  //   staged[i] = slots[offsets[i]]   for i in [0, n)
-  // over 16-byte slots — the serving prefix table's long double entries
-  // (x86-64 Linux long double occupies a 16-byte slot). Pure byte
-  // movement, no arithmetic: the vector levels gather both 8-byte halves
-  // of each slot and re-interleave, so every level stages identical bytes
-  // and the signed x87 fold over the staged slots (which stays scalar at
-  // every level, per the header preamble) sees identical values.
-  void (*gather_slots_16b)(const void* slots, const std::uint64_t* offsets,
-                           std::size_t n, void* staged);
 };
 
 /// The kernel table for an already-resolved level (see ResolveIsa). Always

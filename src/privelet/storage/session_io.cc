@@ -193,21 +193,14 @@ Result<query::PublishingSession> MapSession(const std::string& path,
 Result<query::PublishingSession> OpenServingSession(const std::string& path,
                                                     common::ThreadPool* pool) {
   auto mapped = MapSession(path, pool);
-  if (mapped.ok()) return mapped;
-  switch (mapped.status().code()) {
-    case StatusCode::kFailedPrecondition:
-      // v1 snapshot: the sections are not mappable in place.
-      return LoadSession(path, pool);
-    case StatusCode::kIOError:
-      // mmap itself failed (unsupported platform/filesystem) — the copy
-      // loader may still read the file; a missing file just fails again
-      // with the same error.
-      return LoadSession(path, pool);
-    default:
-      // Corrupt/invalid snapshots fail identically on both paths; don't
-      // pay a second full read to rediscover that.
-      return mapped;
+  // mmap itself failed (unsupported platform/filesystem): the copy loader
+  // may still read the file; a missing file just fails again with the
+  // same error. Corrupt or unsupported snapshots fail identically on both
+  // paths, so they don't pay a second full read to rediscover that.
+  if (!mapped.ok() && mapped.status().code() == StatusCode::kIOError) {
+    return LoadSession(path, pool);
   }
+  return mapped;
 }
 
 }  // namespace privelet::storage

@@ -30,9 +30,19 @@ namespace privelet::storage {
 namespace {
 
 constexpr char kMagic[4] = {'P', 'V', 'L', 'S'};
-constexpr std::uint32_t kVersionLegacy = 1;  // double-double table encoding
-constexpr std::uint32_t kVersion = 2;        // aligned sections, raw accum
+constexpr std::uint32_t kVersion = 2;         // aligned sections, raw accum
 constexpr std::uint32_t kVersionPlanned = 3;  // v2 + planner provenance
+
+// The one version gate of both readers. Anything else — PVLS v1 (no
+// longer read; re-publish it) or a future version — is rejected here.
+bool SupportedVersion(std::uint32_t version) {
+  return version == kVersion || version == kVersionPlanned;
+}
+
+std::string UnsupportedVersion(std::uint32_t version) {
+  return "unsupported snapshot version " + std::to_string(version) +
+         " (this build reads PVLS v2 and v3)";
+}
 
 // Payload sections (matrix values, table entries) start on this file
 // offset multiple so a page-aligned memory mapping yields naturally
@@ -550,7 +560,7 @@ Result<std::vector<std::size_t>> ReadDims(Reader& r,
   return dims;
 }
 
-/// v2 only: consumes the zero padding bringing the reader to the next
+/// Consumes the zero padding bringing the reader to the next
 /// section-aligned offset. Nonzero padding is rejected so the byte format
 /// stays canonical (identical releases <=> identical files).
 template <typename Reader>
@@ -565,8 +575,8 @@ Status ConsumeSectionPadding(Reader& r) {
   return Status::OK();
 }
 
-// Everything up to (and including) the dims field — identical in v1 and
-// v2, shared by the streamed readers and MappedSnapshot.
+// Everything up to (and including) the dims field, shared by the
+// streamed readers and MappedSnapshot.
 struct HeaderFields {
   std::uint32_t version = 0;
   std::string mechanism;
@@ -588,9 +598,8 @@ Status ParseHeaderFields(Reader& r, HeaderFields* out) {
                                    "' is not a PVLS release snapshot");
   }
   PRIVELET_RETURN_IF_ERROR(r.ReadPod(&out->version, "version"));
-  if (out->version != kVersionLegacy && out->version != kVersion &&
-      out->version != kVersionPlanned) {
-    return r.Corrupt("unsupported snapshot version");
+  if (!SupportedVersion(out->version)) {
+    return r.Corrupt(UnsupportedVersion(out->version));
   }
   PRIVELET_RETURN_IF_ERROR(
       r.ReadString(&out->mechanism, kMaxNameLen, "mechanism id"));
@@ -619,27 +628,6 @@ Status ParseHeaderFields(Reader& r, HeaderFields* out) {
   // Overflow-checked by ReadDims (and bounded by the file size).
   out->cells = 1;
   for (std::size_t d : out->dims) out->cells *= d;
-  return Status::OK();
-}
-
-// v1 table entries: double-double pairs (hi = entry rounded to double,
-// lo = exact residual), lossless for accumulators whose significand fits
-// in 106 bits. Kept for reading legacy snapshots.
-Status ReadTableEntriesV1(SnapshotReader& r, std::size_t cells,
-                          std::vector<long double>* sums) {
-  sums->resize(cells);
-  std::vector<double> chunk(2 * std::min(cells, kChunkElements));
-  std::size_t i = 0;
-  while (i < cells) {
-    const std::size_t count = std::min(cells - i, kChunkElements);
-    PRIVELET_RETURN_IF_ERROR(r.ReadRaw(
-        chunk.data(), 2 * count * sizeof(double), "prefix-table entries"));
-    for (std::size_t k = 0; k < count; ++k) {
-      (*sums)[i + k] = static_cast<long double>(chunk[2 * k]) +
-                       static_cast<long double>(chunk[2 * k + 1]);
-    }
-    i += count;
-  }
   return Status::OK();
 }
 
@@ -702,9 +690,7 @@ Status ParseSnapshot(const std::string& path, ReleaseSnapshot* snapshot,
   PRIVELET_RETURN_IF_ERROR(ParseHeaderFields(r, &h));
   const std::size_t cells = h.cells;
 
-  if (h.version >= kVersion) {
-    PRIVELET_RETURN_IF_ERROR(ConsumeSectionPadding(r));
-  }
+  PRIVELET_RETURN_IF_ERROR(ConsumeSectionPadding(r));
   const std::uint64_t values_offset = r.offset();
   std::uint64_t table_offset = 0;
   std::uint64_t table_bytes = 0;
@@ -722,28 +708,7 @@ Status ParseSnapshot(const std::string& path, ReleaseSnapshot* snapshot,
   PRIVELET_RETURN_IF_ERROR(r.ReadPod(&has_table, "table flag"));
   if (has_table > 1) return r.Corrupt("bad table flag");
   std::optional<matrix::PrefixSumTable<long double>> prefix;
-  if (has_table == 1 && h.version == kVersionLegacy) {
-    std::uint16_t mant_dig = 0;
-    std::uint8_t exact = 0;
-    PRIVELET_RETURN_IF_ERROR(r.ReadPod(&mant_dig, "table accumulator"));
-    PRIVELET_RETURN_IF_ERROR(r.ReadPod(&exact, "table exactness"));
-    std::size_t payload = 0;
-    if (!CheckedMul(cells, 2 * sizeof(double), &payload) ||
-        payload > r.remaining()) {
-      return r.Corrupt("prefix-table payload exceeds the file size");
-    }
-    table_offset = r.offset();
-    table_bytes = payload;
-    const bool adoptable =
-        snapshot != nullptr && exact == 1 && mant_dig == LDBL_MANT_DIG;
-    if (adoptable) {
-      std::vector<long double> sums;
-      PRIVELET_RETURN_IF_ERROR(ReadTableEntriesV1(r, cells, &sums));
-      prefix.emplace(h.dims, std::move(sums));
-    } else {
-      PRIVELET_RETURN_IF_ERROR(r.Skip(payload, "prefix-table entries"));
-    }
-  } else if (has_table == 1) {
+  if (has_table == 1) {
     TableSectionV2 section;
     PRIVELET_RETURN_IF_ERROR(ReadTableSectionHeaderV2(r, cells, &section));
     table_offset = r.offset();
@@ -1032,24 +997,31 @@ Result<MappedSnapshot> MappedSnapshot::Open(const std::string& path) {
   if (bytes.size() < sizeof(kMagic) + sizeof(std::uint32_t) * 2) {
     return corrupt("file too short to be a snapshot");
   }
-  // Version gate before the O(file) CRC pass, so the v1 fallback to the
-  // copy loader stays cheap.
+  // Version gate before the O(file) CRC pass, so an unsupported file is
+  // rejected cheaply and by name rather than as a CRC mismatch.
   if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
     return Status::InvalidArgument("'" + path +
                                    "' is not a PVLS release snapshot");
   }
   std::uint32_t version = 0;
   std::memcpy(&version, bytes.data() + sizeof(kMagic), sizeof(version));
-  if (version != kVersion && version != kVersionPlanned) {
-    return Status::FailedPrecondition(
-        "snapshot '" + path + "' is PVLS v" + std::to_string(version) +
-        " — only v2/v3 sections can be mapped in place; use the copy loader");
-  }
-  // CRC checked exactly once, over the whole mapping.
+  if (!SupportedVersion(version)) return corrupt(UnsupportedVersion(version));
+  // CRC checked exactly once, over the whole mapping, dropping each
+  // chunk's pages behind the cursor: serving faults in only the pages it
+  // reads (the table section), and a RELOAD opening this release while
+  // the one it replaces still serves must not hold both files resident.
   std::uint32_t stored = 0;
   std::memcpy(&stored, bytes.data() + bytes.size() - sizeof(stored),
               sizeof(stored));
-  if (stored != Crc32(bytes.data(), bytes.size() - sizeof(stored))) {
+  constexpr std::size_t kCrcChunkBytes = std::size_t{1} << 20;
+  const std::size_t crc_bytes = bytes.size() - sizeof(stored);
+  std::uint32_t crc = kCrc32Init;
+  for (std::size_t offset = 0; offset < crc_bytes; offset += kCrcChunkBytes) {
+    const std::size_t len = std::min(kCrcChunkBytes, crc_bytes - offset);
+    crc = Crc32Update(crc, bytes.data() + offset, len);
+    file.ReleaseResidency(offset, len);
+  }
+  if (stored != Crc32Finish(crc)) {
     return corrupt("CRC mismatch (file corrupted)");
   }
 

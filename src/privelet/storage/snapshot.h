@@ -38,10 +38,9 @@
 // skips the section and rebuilds the table from the matrix, which the
 // determinism contract (docs/DETERMINISM.md) guarantees is bit-identical.
 //
-// PVLS v1 differs in the table section only — no alignment padding and
-// double-double encoded entries (u16 mant_dig | u8 exact | (f64 hi,
-// f64 lo) per cell). v1 files remain fully readable through the legacy
-// copy path (ReadSnapshot / LoadSession); MappedSnapshot requires v2+.
+// PVLS v1 (no section alignment, double-double table entries) is no
+// longer read: both readers reject it as an unsupported version, like any
+// unknown one. Re-publish a v1 release to serve it.
 //
 // PVLS v3 = v2 plus a plan section directly after the seed, present
 // exactly when the release was published under a workload-adaptive plan
@@ -97,7 +96,7 @@ struct ReleaseSnapshot {
   matrix::EngineOptions engine_options;
   matrix::FrequencyMatrix published;
   std::optional<matrix::PrefixSumTable<long double>> prefix;
-  /// Planner provenance (PVLS v3 files only; nullopt for v1/v2).
+  /// Planner provenance (PVLS v3 files only; nullopt for v2).
   std::optional<query::PlanRecord> plan;
 };
 
@@ -197,7 +196,7 @@ Status WriteSnapshot(const std::string& path, const ReleaseSnapshotView& view);
 /// Convenience overload over an owning snapshot.
 Status WriteSnapshot(const std::string& path, const ReleaseSnapshot& snapshot);
 
-/// Reads and fully validates a snapshot (v1, v2 or v3): structural limits,
+/// Reads and fully validates a snapshot (v2 or v3): structural limits,
 /// dimension overflow, schema/matrix agreement, hierarchy invariants
 /// (data::Hierarchy::FromSpec re-checks them), and the trailing CRC.
 /// This is the copy path — payloads are decoded into owned storage; the
@@ -210,7 +209,7 @@ Result<ReleaseSnapshot> ReadSnapshot(const std::string& path);
 /// not the goal (the whole file is still streamed for the CRC), avoiding
 /// the decoded matrix's memory footprint is.
 struct SnapshotInfo {
-  std::uint32_t version = 0;  ///< PVLS format version of the file (1, 2, 3)
+  std::uint32_t version = 0;  ///< PVLS format version of the file (2 or 3)
   data::Schema schema;
   std::string mechanism;
   double epsilon = 0.0;
@@ -223,8 +222,8 @@ struct SnapshotInfo {
   bool has_prefix_table = false;
   std::uint64_t file_bytes = 0;
   /// Payload section layout: file offset and byte length of the matrix
-  /// values and (when has_prefix_table) the raw table entries. In v2
-  /// both offsets are multiples of the 64-byte section alignment; the
+  /// values and (when has_prefix_table) the raw table entries. Both
+  /// offsets are multiples of the 64-byte section alignment; the
   /// table fields are 0 when the file carries no table.
   std::uint64_t values_offset = 0;
   std::uint64_t values_bytes = 0;
@@ -247,9 +246,9 @@ Result<SnapshotInfo> InspectSnapshot(const std::string& path);
 /// with it; PublishingSession::FromMapped keeps the object alive (via
 /// shared_ptr) for as long as an evaluator serves from it.
 ///
-/// v1 files (and unknown future versions) are rejected with FailedPrecondition so
-/// callers can fall back to the ReadSnapshot copy path; corrupt files
-/// fail with InvalidArgument exactly like the streamed reader.
+/// Unsupported versions (v1, unknown future ones) and corrupt files fail
+/// with InvalidArgument exactly like the streamed reader; the version is
+/// checked before the CRC pass, so that rejection is cheap.
 class MappedSnapshot {
  public:
   static Result<MappedSnapshot> Open(const std::string& path);

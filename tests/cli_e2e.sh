@@ -261,4 +261,14 @@ if "$CLI" query "$TMP/flipped.pvls" --random 5 2>/dev/null; then
   exit 1
 fi
 
+# PVLS v1 is no longer read: a file stamped v1 (version field at offset
+# 4) is rejected by version, before any section is parsed.
+cp "$TMP/release.pvls" "$TMP/v1.pvls"
+printf '\001' | dd of="$TMP/v1.pvls" bs=1 seek=4 conv=notrunc 2>/dev/null
+if "$CLI" inspect "$TMP/v1.pvls" 2> "$TMP/v1.err"; then
+  echo "FAIL: PVLS v1 snapshot accepted" >&2
+  exit 1
+fi
+grep -q "unsupported snapshot version 1" "$TMP/v1.err"
+
 echo "cli_e2e: OK"

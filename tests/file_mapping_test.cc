@@ -2,8 +2,8 @@
 // file-backed writable scratch, anonymous writable mapping — with the
 // error paths of each creation mode (missing/empty files, failed maps,
 // unusable scratch directories) and the residency-release contract the
-// out-of-core publish path depends on: dropping resident pages of a
-// file-backed scratch mapping must never lose data.
+// out-of-core publish path and the snapshot CRC pass depend on: dropping
+// resident pages of a file-backed mapping must never lose data.
 #include "privelet/common/file_mapping.h"
 
 #include <gtest/gtest.h>
@@ -123,6 +123,31 @@ TEST(MappedFileTest, AnonymousMappingHoldsDataAcrossRelease) {
     ASSERT_EQ(static_cast<std::byte>(i ^ 0x5a), bytes[i])
         << "anonymous data lost after ReleaseResidency at " << i;
   }
+}
+
+TEST(MappedFileTest, ReleasingReadOnlyPagesKeepsTheFileContents) {
+  // The snapshot CRC pass drops read-only pages behind its cursor; they
+  // must fault back in from the file unchanged, for unaligned ranges,
+  // ranges past the end, and the whole mapping.
+  std::string payload(3 * 4096 + 123, '\0');
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<char>((i * 131) % 251);
+  }
+  const std::string path = TempPath("mapped_release.bin");
+  WriteFileBytes(path, payload);
+  auto mapped = MappedFile::Open(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  const auto same = [&] {
+    return std::memcmp(mapped->bytes().data(), payload.data(),
+                       payload.size()) == 0;
+  };
+  ASSERT_TRUE(same());
+  mapped->ReleaseResidency(5000, 9000);
+  EXPECT_TRUE(same());
+  mapped->ReleaseResidency(payload.size() + 10, 5);
+  EXPECT_TRUE(same());
+  mapped->ReleaseResidency();
+  EXPECT_TRUE(same());
 }
 
 TEST(MappedFileTest, MoveTransfersTheMapping) {

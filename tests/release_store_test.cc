@@ -259,6 +259,47 @@ TEST(ReleaseStoreTest, RebindRegistersUnknownIds) {
   EXPECT_TRUE(store.Acquire("fresh").ok());
 }
 
+TEST(ReleaseStoreTest, RebindToABadFileKeepsTheOldRelease) {
+  // A failed Rebind leaves the binding as it was: same resident session,
+  // same answers, same generation — for a missing file and a corrupt one.
+  const data::Schema schema = TestSchema();
+  const std::uint64_t seeds[] = {85};
+  const auto paths = SaveReleases(schema, seeds, "rebind_bad");
+  const std::vector<query::RangeQuery> workload = TestWorkload(schema, 40);
+  query::ReleaseStore store;
+  ASSERT_TRUE(store.Register("r", paths[0]).ok());
+  auto before = store.Acquire("r");
+  ASSERT_TRUE(before.ok());
+  const std::vector<double> answers = (*before)->AnswerAll(workload);
+  const std::uint64_t generation = store.generation("r");
+
+  const std::string missing = TempPath("rebind_bad_missing.pvls");
+  std::remove(missing.c_str());
+  const std::string corrupt = TempPath("rebind_bad_corrupt.pvls");
+  {
+    std::FILE* f = std::fopen(corrupt.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    const char junk[] = "PVLS this is not a snapshot";
+    std::fwrite(junk, 1, sizeof(junk), f);
+    std::fclose(f);
+  }
+  for (const std::string& bad : {missing, corrupt}) {
+    EXPECT_FALSE(store.Rebind("r", bad).ok()) << bad;
+    EXPECT_EQ(generation, store.generation("r")) << bad;
+    auto after = store.Acquire("r");
+    ASSERT_TRUE(after.ok()) << bad << ": " << after.status().ToString();
+    EXPECT_EQ(before->get(), after->get()) << bad;
+    EXPECT_EQ(answers, (*after)->AnswerAll(workload)) << bad;
+  }
+  EXPECT_EQ(0u, store.stats().evictions);
+  EXPECT_EQ(1u, store.stats().loads);
+
+  // An unknown id with a bad file is not registered either.
+  EXPECT_FALSE(store.Rebind("ghost", missing).ok());
+  EXPECT_EQ(std::vector<std::string>{"r"}, store.ids());
+  std::remove(corrupt.c_str());
+}
+
 // Rebind racing concurrent Acquires (the daemon's RELOAD-mid-traffic
 // path): every Acquire must return a valid session whose answers match
 // either the old or the new release — never an error, never a torn mix.

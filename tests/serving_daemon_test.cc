@@ -631,33 +631,40 @@ TEST_F(DaemonTest, ResponsesAreByteIdenticalAcrossLoopCounts) {
   }
 }
 
-TEST_F(DaemonTest, HandoffAcceptModeServesAllConnections) {
-  // Force the single-acceptor eventfd handoff (the non-REUSEPORT
-  // fallback): connections land round-robin on both loops and every one
-  // must be fully served.
-  ServerOptions options;
-  options.num_loops = 2;
-  options.accept_mode = ServerOptions::AcceptMode::kHandoff;
-  StartServer(options);
+TEST_F(DaemonTest, ReloadWithABadPathKeepsServingTheOldRelease) {
+  // A mistyped RELOAD must be that request's error and nothing more: the
+  // id keeps its release, cached or not.
+  StartServer();
+  const std::vector<std::string> lines = {"*", "A=0:31"};
+  const std::vector<std::string> expected = DirectAnswers(paths_[0], lines);
 
-  const std::string line = "A=1:20";
-  const std::vector<std::string> expected =
-      DirectAnswers(paths_[0], std::span(&line, 1));
-  constexpr std::size_t kClients = 8;
-  std::vector<std::unique_ptr<TestClient>> clients;
-  for (std::size_t i = 0; i < kClients; ++i) {
-    clients.push_back(std::make_unique<TestClient>());
-    ASSERT_TRUE(clients.back()->Connect(server_->port())) << i;
-  }
+  TestClient client;
+  ASSERT_TRUE(client.Connect(server_->port()));
   std::string header;
   std::vector<std::string> payload;
-  for (std::size_t i = 0; i < kClients; ++i) {
-    ASSERT_TRUE(clients[i]->Send("QUERY r0 " + line + "\n")) << i;
-    ASSERT_TRUE(clients[i]->ReadResponse(&header, &payload)) << i;
-    EXPECT_EQ(header, "ok 1") << i;
-    EXPECT_EQ(payload[0], expected[0]) << i;
+  ASSERT_TRUE(client.Send("RELOAD swap " + paths_[0] + "\n"));
+  ASSERT_TRUE(client.ReadResponse(&header, &payload));
+  ASSERT_EQ(header, "ok 1");
+  ASSERT_TRUE(client.Send("QUERY swap *\n"));  // now cached
+  ASSERT_TRUE(client.ReadResponse(&header, &payload));
+  ASSERT_EQ(header, "ok 1");
+  EXPECT_EQ(payload[0], expected[0]);
+
+  ASSERT_TRUE(client.Send("RELOAD swap /nonexistent\n"));
+  ASSERT_TRUE(client.ReadResponse(&header, &payload));
+  EXPECT_EQ(header.rfind("error:", 0), 0u) << header;
+
+  // The cached query and one never asked before (a store hit) both still
+  // answer from the old release.
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    ASSERT_TRUE(client.Send("QUERY swap " + lines[i] + "\n"));
+    ASSERT_TRUE(client.ReadResponse(&header, &payload));
+    ASSERT_EQ(header, "ok 1") << lines[i];
+    EXPECT_EQ(payload[0], expected[i]) << lines[i];
   }
-  EXPECT_EQ(server_->stats().connections_accepted, kClients);
+  const ServerStats stats = server_->stats();
+  EXPECT_EQ(stats.reloads, 1u);
+  EXPECT_EQ(stats.failures, 1u);
 }
 
 TEST_F(DaemonTest, ReloadInvalidatesTheAnswerCache) {

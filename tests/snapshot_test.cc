@@ -21,6 +21,7 @@
 #include "privelet/matrix/frequency_matrix.h"
 #include "privelet/mechanism/privelet_mechanism.h"
 #include "privelet/query/publishing_session.h"
+#include "privelet/query/release_store.h"
 #include "privelet/query/workload.h"
 #include "privelet/rng/xoshiro256pp.h"
 #include "privelet/storage/crc32.h"
@@ -301,10 +302,10 @@ class ByteBuilder {
 };
 
 // Common prefix: header + a 1-attribute ordinal schema with the given
-// domain, up to (excluding) the dims section. `version` locks either the
-// legacy v1 layout or the current v2 one (they differ only in the payload
-// alignment and table encoding after this prefix).
-ByteBuilder MinimalPrefix(std::uint64_t domain, std::uint32_t version = 1) {
+// domain, up to (excluding) the dims section. `version` is the current
+// v2 by default; the v1 rejection test below stamps 1 (v1 shared this
+// prefix and differed only in the payload alignment and table encoding).
+ByteBuilder MinimalPrefix(std::uint64_t domain, std::uint32_t version = 2) {
   ByteBuilder b;
   b.Pod('P').Pod('V').Pod('L').Pod('S');
   b.Pod(version);
@@ -320,6 +321,7 @@ ByteBuilder MinimalPrefix(std::uint64_t domain, std::uint32_t version = 1) {
 TEST(SnapshotTest, HandcraftedMinimalSnapshotParses) {
   ByteBuilder b = MinimalPrefix(4);
   b.Pod(std::uint32_t{1}).Pod(std::uint64_t{4});  // dims
+  b.PadTo64();
   for (const double v : {1.0, 2.0, 3.0, 4.0}) b.Pod(v);
   b.Pod(std::uint8_t{0});  // no table
   b.Crc();
@@ -433,7 +435,7 @@ TEST(SnapshotTest, V2NonzeroSectionPaddingIsRejected) {
 TEST(SnapshotTest, HierarchyWithFanoutOneIsRejected) {
   ByteBuilder b;
   b.Pod('P').Pod('V').Pod('L').Pod('S');
-  b.Pod(std::uint32_t{1});
+  b.Pod(std::uint32_t{2});
   b.Str("");
   b.Pod(double{0.5}).Pod(std::uint64_t{7});
   b.Pod(std::uint8_t{0}).Pod(std::uint64_t{64});
@@ -450,10 +452,11 @@ TEST(SnapshotTest, HierarchyWithFanoutOneIsRejected) {
 }
 
 // A complete v1 file (dims + matrix + double-double table, no alignment
-// padding): the legacy format must stay readable byte-for-byte, its
-// stored table must still be adopted by the copy loader, and the serving
-// entry point must transparently fall back from the mmap path.
-TEST(SnapshotTest, LegacyV1SnapshotStillLoadsAndServes) {
+// padding), byte for byte what a v1 writer produced. v1 is no longer
+// read: every entry point must reject it as an unsupported version, by
+// number, rather than misparse its unaligned sections or retry it
+// through another loader.
+TEST(SnapshotTest, LegacyV1SnapshotIsRejectedByVersion) {
   ByteBuilder b = MinimalPrefix(4, /*version=*/1);
   b.Pod(std::uint32_t{1}).Pod(std::uint64_t{4});  // dims, no padding in v1
   for (const double v : {1.0, 2.0, 3.0, 4.0}) b.Pod(v);
@@ -467,31 +470,23 @@ TEST(SnapshotTest, LegacyV1SnapshotStillLoadsAndServes) {
   const std::string path = TempPath("legacy_v1.pvls");
   WriteFileBytes(path, b.bytes());
 
-  auto info = storage::InspectSnapshot(path);
-  ASSERT_TRUE(info.ok()) << info.status().ToString();
-  EXPECT_EQ(1u, info->version);
-  EXPECT_TRUE(info->has_prefix_table);
-
-  auto snapshot = storage::ReadSnapshot(path);
-  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-  ASSERT_TRUE(snapshot->prefix.has_value());
-  EXPECT_EQ(6.0L, snapshot->prefix->raw_sums()[2]);
-
-  // v1 sections are not mappable in place; the serving entry point falls
-  // back to the copy loader and answers identically.
-  auto mapped = storage::MapSession(path);
-  ASSERT_FALSE(mapped.ok());
-  EXPECT_EQ(StatusCode::kFailedPrecondition, mapped.status().code());
-  auto served = storage::OpenServingSession(path);
-  ASSERT_TRUE(served.ok()) << served.status().ToString();
-  EXPECT_TRUE(served->has_published());  // copy path materializes
-
-  query::RangeQuery q(1);
-  ASSERT_TRUE(q.SetRange(snapshot->schema, 0, 1, 2).ok());
-  auto direct = storage::LoadSession(path);
-  ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(direct->Answer(q), served->Answer(q));
-  EXPECT_EQ(5.0, served->Answer(q));  // 2 + 3
+  const auto expect_version_error = [](const Status& status,
+                                       const char* entry) {
+    EXPECT_EQ(StatusCode::kInvalidArgument, status.code())
+        << entry << ": " << status.ToString();
+    EXPECT_NE(std::string::npos,
+              status.message().find("unsupported snapshot version 1"))
+        << entry << ": " << status.ToString();
+  };
+  expect_version_error(storage::InspectSnapshot(path).status(),
+                       "InspectSnapshot");
+  expect_version_error(storage::ReadSnapshot(path).status(), "ReadSnapshot");
+  expect_version_error(storage::MapSession(path).status(), "MapSession");
+  expect_version_error(storage::OpenServingSession(path).status(),
+                       "OpenServingSession");
+  query::ReleaseStore store;
+  ASSERT_TRUE(store.Register("v1", path).ok());
+  expect_version_error(store.Acquire("v1").status(), "ReleaseStore::Acquire");
 }
 
 // ---------------------------------------------------------------------------
