@@ -9,7 +9,9 @@
 #include "privelet/common/check.h"
 #include "privelet/common/io_util.h"
 
-#if !defined(_WIN32)
+#if defined(_WIN32)
+#include <fstream>
+#else
 #include <cerrno>
 #include <fcntl.h>
 #include <sys/mman.h>
@@ -34,7 +36,23 @@ std::string ResolveScratchDir(const std::string& dir) {
 
 Result<MappedFile> MappedFile::Open(const std::string& path) {
 #if defined(_WIN32)
-  return Status::IOError("memory mapping is not supported on this platform");
+  // No mmap here: read the file into an owned, 64-byte-aligned buffer so
+  // callers see the same aligned bytes() a page-aligned mapping gives.
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) return Status::IOError("cannot open '" + path + "'");
+  const std::streamoff end = in.tellg();
+  if (end < 0) return Status::IOError("cannot stat '" + path + "'");
+  const auto size = static_cast<std::size_t>(end);
+  if (size == 0) return MappedFile();
+  MappedFile file;
+  file.addr_ = file.owned_.Grow(size);
+  file.size_ = size;
+  in.seekg(0, std::ios::beg);
+  in.read(static_cast<char*>(file.addr_), static_cast<std::streamsize>(size));
+  if (!in || in.gcount() != static_cast<std::streamsize>(size)) {
+    return Status::IOError("cannot read '" + path + "'");
+  }
+  return file;
 #else
   const int fd = OpenRetry(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
@@ -163,7 +181,9 @@ void MappedFile::ReleaseResidency(std::size_t offset,
 }
 
 void MappedFile::Reset() {
-#if !defined(_WIN32)
+#if defined(_WIN32)
+  owned_ = {};
+#else
   if (addr_ != nullptr) {
     ::munmap(addr_, size_);
   }
@@ -180,7 +200,11 @@ MappedFile::MappedFile(MappedFile&& other) noexcept
     : addr_(std::exchange(other.addr_, nullptr)),
       size_(std::exchange(other.size_, 0)),
       writable_(std::exchange(other.writable_, false)),
-      release_safe_(std::exchange(other.release_safe_, false)) {}
+      release_safe_(std::exchange(other.release_safe_, false)) {
+#if defined(_WIN32)
+  owned_ = std::move(other.owned_);
+#endif
+}
 
 MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
   if (this != &other) {
@@ -189,6 +213,9 @@ MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
     size_ = std::exchange(other.size_, 0);
     writable_ = std::exchange(other.writable_, false);
     release_safe_ = std::exchange(other.release_safe_, false);
+#if defined(_WIN32)
+    owned_ = std::move(other.owned_);
+#endif
   }
   return *this;
 }

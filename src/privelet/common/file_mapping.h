@@ -21,6 +21,7 @@
 #include <span>
 #include <string>
 
+#include "privelet/common/aligned_buffer.h"
 #include "privelet/common/result.h"
 
 namespace privelet::common {
@@ -32,9 +33,12 @@ namespace privelet::common {
 /// 64-byte-aligned file offset is 64-byte aligned in memory too.
 class MappedFile {
  public:
-  /// Maps `path` read-only in full. Fails with IOError when the file
-  /// cannot be opened, stat'ed, or mapped (including on platforms without
-  /// mmap support).
+  /// Maps `path` read-only in full — the one way PVLS snapshots are read
+  /// (storage::MappedSnapshot::Open). Fails with IOError when the file
+  /// cannot be opened, stat'ed, or mapped; there is no copy-load retry.
+  /// On _WIN32, which has no mmap here, the file is instead read into an
+  /// owned 64-byte-aligned buffer (so bytes() is still section-aligned)
+  /// and ReleaseResidency() is a no-op.
   static Result<MappedFile> Open(const std::string& path);
 
   /// Creates a writable zero-filled scratch mapping of `size` bytes backed
@@ -105,6 +109,10 @@ class MappedFile {
   std::size_t size_ = 0;
   bool writable_ = false;
   bool release_safe_ = false;
+#if defined(_WIN32)
+  // Open's owned copy of the file; addr_ points into it.
+  AlignedBuffer<std::byte> owned_;
+#endif
 };
 
 }  // namespace privelet::common

@@ -366,7 +366,9 @@ class PrefixSumTable {
                       common::ThreadPool* pool,
                       const simd::KernelTable& kernels,
                       common::ResidencyGovernor& governor) {
-    const std::size_t panels = (lines + tile - 1) / tile;
+    // Ceiling division that cannot wrap for any `tile`: a table rebuilt
+    // at open takes it as is from the snapshot's u64 tile_lines field.
+    const std::size_t panels = lines / tile + (lines % tile != 0);
     common::ParallelFor(
         pool, panels, /*grain=*/0, [&](std::size_t pb, std::size_t pe) {
           for (std::size_t p = pb; p < pe; ++p) {

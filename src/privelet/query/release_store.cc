@@ -31,7 +31,7 @@ Status ReleaseStore::Rebind(std::string id, std::string path) {
   // Open before touching the binding, outside the lock: a bad path fails
   // here and the id keeps serving what it served before.
   PRIVELET_ASSIGN_OR_RETURN(PublishingSession opened,
-                            storage::OpenServingSession(path, options_.pool));
+                            storage::MapSession(path, options_.pool));
   auto session = std::make_shared<const PublishingSession>(std::move(opened));
 
   std::lock_guard<std::mutex> lock(mu_);
@@ -107,7 +107,7 @@ Result<std::shared_ptr<const PublishingSession>> ReleaseStore::Acquire(
   const std::string path = entry.path;
   lock.unlock();
 
-  auto opened = storage::OpenServingSession(path, options_.pool);
+  auto opened = storage::MapSession(path, options_.pool);
   SessionResult result =
       opened.ok()
           ? SessionResult(std::make_shared<const PublishingSession>(

@@ -14,7 +14,7 @@
 // to map the file N times.
 //
 // Layering note (docs/ARCHITECTURE.md): this header is storage-free, but
-// release_store.cc composes storage::OpenServingSession with the session
+// release_store.cc composes storage::MapSession with the session
 // facade — it is the serving tip of the library, above both query and
 // storage.
 #ifndef PRIVELET_QUERY_RELEASE_STORE_H_

@@ -190,17 +190,4 @@ Result<query::PublishingSession> MapSession(const std::string& path,
       std::make_shared<const MappedSnapshot>(std::move(mapped)), pool);
 }
 
-Result<query::PublishingSession> OpenServingSession(const std::string& path,
-                                                    common::ThreadPool* pool) {
-  auto mapped = MapSession(path, pool);
-  // mmap itself failed (unsupported platform/filesystem): the copy loader
-  // may still read the file; a missing file just fails again with the
-  // same error. Corrupt or unsupported snapshots fail identically on both
-  // paths, so they don't pay a second full read to rediscover that.
-  if (!mapped.ok() && mapped.status().code() == StatusCode::kIOError) {
-    return LoadSession(path, pool);
-  }
-  return mapped;
-}
-
 }  // namespace privelet::storage

@@ -1,8 +1,8 @@
 // File-level persistence of serving sessions: SaveSession streams a live
 // PublishingSession straight into a PVLS snapshot (no copy of the matrix
-// or table), LoadSession turns a snapshot file back into a serving
-// session, and MapSession / OpenServingSession serve a v2/v3 snapshot in
-// place from a memory mapping with zero copies. Also the home of
+// or table), MapSession serves a v2/v3 snapshot in place from a memory
+// mapping with zero copies, and LoadSession copies one into an owning
+// session. Both read the file through MappedSnapshot::Open. Also the home of
 // PublishingSession::ToSnapshot/FromSnapshot/FromMapped — they are
 // declared on the session for discoverability but implemented here
 // because storage sits above query in the layer order
@@ -57,29 +57,24 @@ Result<query::PublishingSession> PublishToFile(
     const matrix::EngineOptions& options = {},
     const query::PlanRecord* plan = nullptr);
 
-/// Loads a v2/v3 snapshot by copy and wraps it as a serving session.
-/// When the file carries an adoptable prefix table this is an O(file
-/// size) read with no O(m) compute; otherwise the table is rebuilt on
-/// `pool` under the snapshot's engine options. Either way the loaded
-/// session answers bit-identically to the one that was saved.
+/// Loads a v2/v3 snapshot by copy (ReadSnapshot) and wraps it as an
+/// owning session — one whose matrix can be re-saved. When the file
+/// carries an adoptable prefix table this is an O(file size) copy with
+/// no O(m) compute; otherwise the table is rebuilt on `pool` under the
+/// snapshot's engine options. Either way the loaded session answers
+/// bit-identically to the one that was saved.
 Result<query::PublishingSession> LoadSession(const std::string& path,
                                              common::ThreadPool* pool = nullptr);
 
-/// Maps a v2/v3 snapshot and serves it in place: open cost is
-/// O(header + CRC) and the prefix table is adopted as a zero-copy view
-/// into the file's pages (rebuilt from the mapped matrix only when the
-/// stored accumulator layout does not match this platform). Answers are
-/// bit-identical to LoadSession's. Fails with IOError where the file
-/// cannot be mapped.
+/// The serving entry point: maps a v2/v3 snapshot and serves it in
+/// place. Open cost is O(header + CRC) and the prefix table is adopted as
+/// a zero-copy view into the file's pages (rebuilt from the mapped matrix
+/// only when the stored accumulator layout does not match this
+/// platform). Answers are bit-identical to LoadSession's. What
+/// query::ReleaseStore uses to resolve a release id to a live session.
+/// Fails with IOError when the file cannot be opened or mapped.
 Result<query::PublishingSession> MapSession(const std::string& path,
                                             common::ThreadPool* pool = nullptr);
-
-/// The serving entry point: MapSession, falling back to the LoadSession
-/// copy path only when mapping itself fails (IOError — on _WIN32, where
-/// common::MappedFile has no implementation, that is every file). What
-/// query::ReleaseStore uses to resolve a release id to a live session.
-Result<query::PublishingSession> OpenServingSession(
-    const std::string& path, common::ThreadPool* pool = nullptr);
 
 }  // namespace privelet::storage
 

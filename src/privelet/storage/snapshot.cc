@@ -33,7 +33,7 @@ constexpr char kMagic[4] = {'P', 'V', 'L', 'S'};
 constexpr std::uint32_t kVersion = 2;         // aligned sections, raw accum
 constexpr std::uint32_t kVersionPlanned = 3;  // v2 + planner provenance
 
-// The one version gate of both readers. Anything else — PVLS v1 (no
+// The one version gate of the reader. Anything else — PVLS v1 (no
 // longer read; re-publish it) or a future version — is rejected here.
 bool SupportedVersion(std::uint32_t version) {
   return version == kVersion || version == kVersionPlanned;
@@ -223,123 +223,17 @@ class SnapshotWriter {
 };
 
 // ---------------------------------------------------------------------------
-// Streaming reader over [start, file_size - 4): tracks the bytes left
-// before the trailing CRC so every length field can be bounds-checked
-// prior to allocation, and folds everything it reads into the running
-// CRC for the final comparison.
-class SnapshotReader {
- public:
-  static Result<SnapshotReader> Open(const std::string& path) {
-    SnapshotReader r(path);
-    if (!r.in_) {
-      return Status::IOError("cannot open '" + path + "' for reading");
-    }
-    r.in_.seekg(0, std::ios::end);
-    const std::streamoff size = r.in_.tellg();
-    r.in_.seekg(0, std::ios::beg);
-    if (size < 0) return Status::IOError("cannot stat '" + path + "'");
-    r.file_bytes_ = static_cast<std::uint64_t>(size);
-    if (r.file_bytes_ < sizeof(kMagic) + sizeof(std::uint32_t) * 2) {
-      return r.Corrupt("file too short to be a snapshot");
-    }
-    r.remaining_ = r.file_bytes_ - sizeof(std::uint32_t);  // minus the CRC
-    return r;
-  }
-
-  const std::string& path() const { return path_; }
-  std::uint64_t file_bytes() const { return file_bytes_; }
-  std::uint64_t remaining() const { return remaining_; }
-  /// Bytes consumed so far (== the current file offset).
-  std::uint64_t offset() const { return offset_; }
-
-  Status Corrupt(const std::string& what) const {
-    return Status::InvalidArgument("snapshot '" + path_ + "': " + what);
-  }
-
-  Status ReadRaw(void* dst, std::size_t len, const char* what) {
-    if (len > remaining_) {
-      return Corrupt(std::string("truncated while reading ") + what);
-    }
-    in_.read(static_cast<char*>(dst), static_cast<std::streamsize>(len));
-    if (!in_ || in_.gcount() != static_cast<std::streamsize>(len)) {
-      return Corrupt(std::string("read failed in ") + what);
-    }
-    crc_ = Crc32Update(crc_, dst, len);
-    remaining_ -= len;
-    offset_ += len;
-    return Status::OK();
-  }
-
-  template <typename T>
-  Status ReadPod(T* dst, const char* what) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    return ReadRaw(dst, sizeof(T), what);
-  }
-
-  Status ReadString(std::string* dst, std::size_t max_len, const char* what) {
-    std::uint16_t len = 0;
-    PRIVELET_RETURN_IF_ERROR(ReadPod(&len, what));
-    if (len > max_len) {
-      return Corrupt(std::string(what) + " length out of bounds");
-    }
-    dst->resize(len);
-    return ReadRaw(dst->data(), len, what);
-  }
-
-  /// Consumes `len` bytes without keeping them (metadata-only reads still
-  /// need the full stream folded into the CRC).
-  Status Skip(std::size_t len, const char* what) {
-    std::vector<char> scratch(std::min<std::size_t>(len, kChunkElements * 8));
-    while (len > 0) {
-      const std::size_t step = std::min(len, scratch.size());
-      PRIVELET_RETURN_IF_ERROR(ReadRaw(scratch.data(), step, what));
-      len -= step;
-    }
-    return Status::OK();
-  }
-
-  /// Verifies every payload byte was consumed and the trailing checksum
-  /// matches the stream.
-  Status VerifyCrc() {
-    if (remaining_ != 0) {
-      return Corrupt("trailing bytes after the table section");
-    }
-    std::uint32_t stored = 0;
-    in_.read(reinterpret_cast<char*>(&stored), sizeof(stored));
-    if (!in_ || in_.gcount() != sizeof(stored)) {
-      return Corrupt("missing trailing CRC");
-    }
-    if (stored != Crc32Finish(crc_)) {
-      return Corrupt("CRC mismatch (file corrupted)");
-    }
-    return Status::OK();
-  }
-
- private:
-  explicit SnapshotReader(const std::string& path)
-      : path_(path), in_(path, std::ios::binary) {}
-
-  std::string path_;
-  std::ifstream in_;
-  std::uint64_t file_bytes_ = 0;
-  std::uint64_t remaining_ = 0;
-  std::uint64_t offset_ = 0;
-  std::uint32_t crc_ = kCrc32Init;
-};
-
-// ---------------------------------------------------------------------------
-// In-memory reader over an already-mapped payload (everything before the
-// trailing CRC). The CRC is verified once over the whole mapping before
-// parsing starts, so this reader only bounds-checks; Skip is O(1), which
-// is what makes MappedSnapshot::Open O(header) after the checksum pass.
-// Mirrors SnapshotReader's interface so the section parsers below are
-// shared templates.
+// The one PVLS parser: an in-memory reader over an already-mapped payload
+// (everything before the trailing CRC), behind MappedSnapshot::Open and so
+// behind every read entry point. The CRC is verified once over the whole
+// mapping before parsing starts, so this reader only bounds-checks; Skip
+// is O(1), which is what makes MappedSnapshot::Open O(header) after the
+// checksum pass.
 class MemReader {
  public:
   MemReader(std::string path, std::span<const std::byte> payload)
       : path_(std::move(path)), payload_(payload) {}
 
-  const std::string& path() const { return path_; }
   std::uint64_t remaining() const { return payload_.size() - pos_; }
   std::uint64_t offset() const { return pos_; }
 
@@ -391,7 +285,7 @@ class MemReader {
 };
 
 // ---------------------------------------------------------------------------
-// Schema section (shared between the streamed and mapped readers).
+// Schema section.
 
 void WriteHierarchy(SnapshotWriter& w, const data::Hierarchy& h) {
   w.WritePod(static_cast<std::uint64_t>(h.num_nodes()));
@@ -416,8 +310,7 @@ data::HierarchySpec BuildSpec(const std::vector<std::uint32_t>& counts,
   return spec;
 }
 
-template <typename Reader>
-Result<data::Hierarchy> ReadHierarchy(Reader& r) {
+Result<data::Hierarchy> ReadHierarchy(MemReader& r) {
   std::uint64_t num_nodes = 0;
   PRIVELET_RETURN_IF_ERROR(r.ReadPod(&num_nodes, "hierarchy node count"));
   // Each node costs 4 bytes; bounding by the remaining bytes caps the
@@ -465,8 +358,7 @@ void WriteSchema(SnapshotWriter& w, const data::Schema& schema) {
   }
 }
 
-template <typename Reader>
-Result<data::Schema> ReadSchema(Reader& r) {
+Result<data::Schema> ReadSchema(MemReader& r) {
   std::uint32_t num_attributes = 0;
   PRIVELET_RETURN_IF_ERROR(r.ReadPod(&num_attributes, "attribute count"));
   if (num_attributes == 0 || num_attributes > kMaxAttributes) {
@@ -510,8 +402,7 @@ void WriteEngineOptions(SnapshotWriter& w, const matrix::EngineOptions& o) {
   w.WritePod(static_cast<std::uint64_t>(o.tile_lines));
 }
 
-template <typename Reader>
-Result<matrix::EngineOptions> ReadEngineOptions(Reader& r) {
+Result<matrix::EngineOptions> ReadEngineOptions(MemReader& r) {
   std::uint8_t engine = 0;
   std::uint64_t tile_lines = 0;
   PRIVELET_RETURN_IF_ERROR(r.ReadPod(&engine, "line engine"));
@@ -528,8 +419,7 @@ Result<matrix::EngineOptions> ReadEngineOptions(Reader& r) {
 // ---------------------------------------------------------------------------
 // Matrix and table sections.
 
-template <typename Reader>
-Result<std::vector<std::size_t>> ReadDims(Reader& r,
+Result<std::vector<std::size_t>> ReadDims(MemReader& r,
                                           const data::Schema& schema) {
   std::uint32_t num_dims = 0;
   PRIVELET_RETURN_IF_ERROR(r.ReadPod(&num_dims, "dimension count"));
@@ -563,8 +453,7 @@ Result<std::vector<std::size_t>> ReadDims(Reader& r,
 /// Consumes the zero padding bringing the reader to the next
 /// section-aligned offset. Nonzero padding is rejected so the byte format
 /// stays canonical (identical releases <=> identical files).
-template <typename Reader>
-Status ConsumeSectionPadding(Reader& r) {
+Status ConsumeSectionPadding(MemReader& r) {
   const std::size_t pad = PadBytes(r.offset());
   if (pad == 0) return Status::OK();
   unsigned char buf[kSectionAlignment];
@@ -575,8 +464,7 @@ Status ConsumeSectionPadding(Reader& r) {
   return Status::OK();
 }
 
-// Everything up to (and including) the dims field, shared by the
-// streamed readers and MappedSnapshot.
+// Everything up to (and including) the dims field.
 struct HeaderFields {
   std::uint32_t version = 0;
   std::string mechanism;
@@ -589,18 +477,11 @@ struct HeaderFields {
   std::size_t cells = 0;
 };
 
-template <typename Reader>
-Status ParseHeaderFields(Reader& r, HeaderFields* out) {
-  char magic[4];
-  PRIVELET_RETURN_IF_ERROR(r.ReadRaw(magic, sizeof(magic), "magic"));
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument("'" + r.path() +
-                                   "' is not a PVLS release snapshot");
-  }
+Status ParseHeaderFields(MemReader& r, HeaderFields* out) {
+  // MappedSnapshot::Open gated the magic and the version before its CRC
+  // pass.
+  PRIVELET_RETURN_IF_ERROR(r.Skip(sizeof(kMagic), "magic"));
   PRIVELET_RETURN_IF_ERROR(r.ReadPod(&out->version, "version"));
-  if (!SupportedVersion(out->version)) {
-    return r.Corrupt(UnsupportedVersion(out->version));
-  }
   PRIVELET_RETURN_IF_ERROR(
       r.ReadString(&out->mechanism, kMaxNameLen, "mechanism id"));
   PRIVELET_RETURN_IF_ERROR(r.ReadPod(&out->epsilon, "epsilon"));
@@ -663,8 +544,7 @@ struct TableSectionV2 {
   }
 };
 
-template <typename Reader>
-Status ReadTableSectionHeaderV2(Reader& r, std::size_t cells,
+Status ReadTableSectionHeaderV2(MemReader& r, std::size_t cells,
                                 TableSectionV2* section) {
   PRIVELET_RETURN_IF_ERROR(r.ReadPod(&section->mant_dig, "table accumulator"));
   PRIVELET_RETURN_IF_ERROR(
@@ -680,80 +560,19 @@ Status ReadTableSectionHeaderV2(Reader& r, std::size_t cells,
   return Status::OK();
 }
 
-// Shared parse behind ReadSnapshot and InspectSnapshot: `snapshot` is
-// filled when non-null, otherwise payloads are skipped (still streamed
-// through the CRC) and only `info` is filled.
-Status ParseSnapshot(const std::string& path, ReleaseSnapshot* snapshot,
-                     SnapshotInfo* info) {
-  PRIVELET_ASSIGN_OR_RETURN(SnapshotReader r, SnapshotReader::Open(path));
-  HeaderFields h;
-  PRIVELET_RETURN_IF_ERROR(ParseHeaderFields(r, &h));
-  const std::size_t cells = h.cells;
-
-  PRIVELET_RETURN_IF_ERROR(ConsumeSectionPadding(r));
-  const std::uint64_t values_offset = r.offset();
-  std::uint64_t table_offset = 0;
-  std::uint64_t table_bytes = 0;
-  matrix::FrequencyMatrix published;
-  if (snapshot != nullptr) {
-    published = matrix::FrequencyMatrix(h.dims);
-    PRIVELET_RETURN_IF_ERROR(r.ReadRaw(published.values().data(),
-                                       cells * sizeof(double),
-                                       "matrix values"));
-  } else {
-    PRIVELET_RETURN_IF_ERROR(r.Skip(cells * sizeof(double), "matrix values"));
+// Copies `dst.size()` mapped bytes starting at file offset `offset` in
+// 1 MiB chunks, dropping each chunk's mapped pages once copied — as
+// MappedSnapshot::Open's CRC pass does — so a copy load never holds the
+// file and its copy resident at once.
+void CopyOutOfMapping(const common::MappedFile& file, std::uint64_t offset,
+                      std::span<std::byte> dst) {
+  constexpr std::size_t kCopyChunkBytes = std::size_t{1} << 20;
+  const std::byte* src = file.bytes().data() + offset;
+  for (std::size_t done = 0; done < dst.size(); done += kCopyChunkBytes) {
+    const std::size_t len = std::min(kCopyChunkBytes, dst.size() - done);
+    std::memcpy(dst.data() + done, src + done, len);
+    file.ReleaseResidency(offset + done, len);
   }
-
-  std::uint8_t has_table = 0;
-  PRIVELET_RETURN_IF_ERROR(r.ReadPod(&has_table, "table flag"));
-  if (has_table > 1) return r.Corrupt("bad table flag");
-  std::optional<matrix::PrefixSumTable<long double>> prefix;
-  if (has_table == 1) {
-    TableSectionV2 section;
-    PRIVELET_RETURN_IF_ERROR(ReadTableSectionHeaderV2(r, cells, &section));
-    table_offset = r.offset();
-    table_bytes = section.payload;
-    if (snapshot != nullptr && section.adoptable()) {
-      // The entries are this platform's accumulator verbatim — one read,
-      // no decode.
-      std::vector<long double> sums(cells);
-      PRIVELET_RETURN_IF_ERROR(
-          r.ReadRaw(sums.data(), section.payload, "prefix-table entries"));
-      prefix.emplace(h.dims, std::move(sums));
-    } else {
-      PRIVELET_RETURN_IF_ERROR(r.Skip(section.payload,
-                                      "prefix-table entries"));
-    }
-  }
-  PRIVELET_RETURN_IF_ERROR(r.VerifyCrc());
-
-  if (snapshot != nullptr) {
-    snapshot->schema = std::move(h.schema);
-    snapshot->mechanism = std::move(h.mechanism);
-    snapshot->epsilon = h.epsilon;
-    snapshot->seed = h.seed;
-    snapshot->engine_options = h.options;
-    snapshot->published = std::move(published);
-    snapshot->prefix = std::move(prefix);
-    snapshot->plan = std::move(h.plan);
-  } else {
-    info->version = h.version;
-    info->plan = std::move(h.plan);
-    info->schema = std::move(h.schema);
-    info->mechanism = std::move(h.mechanism);
-    info->epsilon = h.epsilon;
-    info->seed = h.seed;
-    info->engine_options = h.options;
-    info->dims = std::move(h.dims);
-    info->num_cells = cells;
-    info->has_prefix_table = has_table == 1;
-    info->file_bytes = r.file_bytes();
-    info->values_offset = values_offset;
-    info->values_bytes = cells * sizeof(double);
-    info->table_offset = table_offset;
-    info->table_bytes = table_bytes;
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -976,14 +795,44 @@ Status WriteSnapshot(const std::string& path, const ReleaseSnapshot& snapshot) {
 }
 
 Result<ReleaseSnapshot> ReadSnapshot(const std::string& path) {
+  PRIVELET_ASSIGN_OR_RETURN(MappedSnapshot mapped, MappedSnapshot::Open(path));
   ReleaseSnapshot snapshot;
-  PRIVELET_RETURN_IF_ERROR(ParseSnapshot(path, &snapshot, nullptr));
+  snapshot.published = matrix::FrequencyMatrix(mapped.dims_);
+  CopyOutOfMapping(mapped.file_, mapped.values_offset_,
+                   std::as_writable_bytes(snapshot.published.values()));
+  if (mapped.has_prefix_table()) {
+    std::vector<long double> sums(mapped.num_cells());
+    CopyOutOfMapping(mapped.file_, mapped.table_offset_,
+                     std::as_writable_bytes(std::span(sums)));
+    snapshot.prefix.emplace(mapped.dims_, std::move(sums));
+  }
+  snapshot.schema = std::move(mapped.schema_);
+  snapshot.mechanism = std::move(mapped.mechanism_);
+  snapshot.epsilon = mapped.epsilon_;
+  snapshot.seed = mapped.seed_;
+  snapshot.engine_options = mapped.options_;
+  snapshot.plan = std::move(mapped.plan_);
   return snapshot;
 }
 
 Result<SnapshotInfo> InspectSnapshot(const std::string& path) {
+  PRIVELET_ASSIGN_OR_RETURN(MappedSnapshot mapped, MappedSnapshot::Open(path));
   SnapshotInfo info;
-  PRIVELET_RETURN_IF_ERROR(ParseSnapshot(path, nullptr, &info));
+  info.version = mapped.version();
+  info.schema = mapped.schema();
+  info.mechanism = mapped.mechanism();
+  info.epsilon = mapped.epsilon();
+  info.seed = mapped.seed();
+  info.engine_options = mapped.engine_options();
+  info.plan = mapped.plan();
+  info.dims = mapped.dims();
+  info.num_cells = mapped.num_cells();
+  info.has_prefix_table = mapped.has_table_section();
+  info.file_bytes = mapped.file_bytes();
+  info.values_offset = mapped.values_offset();
+  info.values_bytes = mapped.num_cells() * sizeof(double);
+  info.table_offset = mapped.table_offset();
+  info.table_bytes = mapped.table_bytes();
   return info;
 }
 
@@ -1031,6 +880,7 @@ Result<MappedSnapshot> MappedSnapshot::Open(const std::string& path) {
   PRIVELET_RETURN_IF_ERROR(ConsumeSectionPadding(r));
 
   MappedSnapshot mapped;
+  mapped.values_offset_ = r.offset();
   const std::byte* values_ptr = r.cursor();
   if (reinterpret_cast<std::uintptr_t>(values_ptr) % alignof(double) != 0) {
     return corrupt("matrix section is misaligned");
@@ -1044,6 +894,8 @@ Result<MappedSnapshot> MappedSnapshot::Open(const std::string& path) {
   if (has_table == 1) {
     TableSectionV2 section;
     PRIVELET_RETURN_IF_ERROR(ReadTableSectionHeaderV2(r, h.cells, &section));
+    mapped.table_offset_ = r.offset();
+    mapped.table_bytes_ = section.payload;
     const std::byte* table_ptr = r.cursor();
     PRIVELET_RETURN_IF_ERROR(r.Skip(section.payload, "prefix-table entries"));
     if (section.adoptable() &&
@@ -1060,6 +912,7 @@ Result<MappedSnapshot> MappedSnapshot::Open(const std::string& path) {
   }
 
   mapped.file_ = std::move(file);
+  mapped.version_ = h.version;
   mapped.schema_ = std::move(h.schema);
   mapped.mechanism_ = std::move(h.mechanism);
   mapped.epsilon_ = h.epsilon;

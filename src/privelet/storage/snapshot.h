@@ -39,8 +39,8 @@
 // determinism contract (docs/DETERMINISM.md) guarantees is bit-identical.
 //
 // PVLS v1 (no section alignment, double-double table entries) is no
-// longer read: both readers reject it as an unsupported version, like any
-// unknown one. Re-publish a v1 release to serve it.
+// longer read: it is rejected as an unsupported version, like any unknown
+// one. Re-publish a v1 release to serve it.
 //
 // PVLS v3 = v2 plus a plan section directly after the seed, present
 // exactly when the release was published under a workload-adaptive plan
@@ -57,11 +57,14 @@
 // snapshots and tools interoperate unchanged (backward and forward
 // compatibility in one rule).
 //
-// Reads are streamed and defensive: every variable-length field is
-// validated against the bytes actually remaining in the file before any
-// allocation, dimension products are checked for overflow, and the file
-// CRC must match before a snapshot is returned. Corrupt or truncated
-// files come back as Status errors, never crashes.
+// One parser reads every snapshot: MappedSnapshot::Open. ReadSnapshot and
+// InspectSnapshot are thin layers over it, so every entry point rejects a
+// given file with the same Status. Reads are defensive: the version is
+// gated first, the file CRC must match before any field is trusted, every
+// variable-length field is validated against the bytes actually
+// remaining in the file before any allocation, and dimension products
+// are checked for overflow. Corrupt or truncated files come back as
+// Status errors, never crashes.
 #ifndef PRIVELET_STORAGE_SNAPSHOT_H_
 #define PRIVELET_STORAGE_SNAPSHOT_H_
 
@@ -196,18 +199,20 @@ Status WriteSnapshot(const std::string& path, const ReleaseSnapshotView& view);
 /// Convenience overload over an owning snapshot.
 Status WriteSnapshot(const std::string& path, const ReleaseSnapshot& snapshot);
 
-/// Reads and fully validates a snapshot (v2 or v3): structural limits,
-/// dimension overflow, schema/matrix agreement, hierarchy invariants
-/// (data::Hierarchy::FromSpec re-checks them), and the trailing CRC.
-/// This is the copy path — payloads are decoded into owned storage; the
-/// zero-copy alternative is MappedSnapshot below.
+/// Reads and fully validates a snapshot (v2 or v3) into owned storage:
+/// MappedSnapshot::Open (trailing CRC, structural limits, dimension
+/// overflow, schema/matrix agreement, hierarchy invariants — which
+/// data::Hierarchy::FromSpec re-checks) followed by a chunked copy of the
+/// mapped matrix values and adoptable table entries, dropping each
+/// chunk's mapped pages once copied. Fails exactly when Open fails, with
+/// the same Status.
 Result<ReleaseSnapshot> ReadSnapshot(const std::string& path);
 
 /// Reads only the metadata of a snapshot — everything except the matrix
-/// values and table entries, which are skipped (still CRC-verified).
-/// What `privelet_cli inspect` prints; cheap even for huge releases is
-/// not the goal (the whole file is still streamed for the CRC), avoiding
-/// the decoded matrix's memory footprint is.
+/// values and table entries (which are still CRC-verified). What
+/// `privelet_cli inspect` prints: MappedSnapshot::Open plus the layout
+/// facts it records, so no payload is copied. Fails exactly when Open
+/// fails, with the same Status.
 struct SnapshotInfo {
   std::uint32_t version = 0;  ///< PVLS format version of the file (2 or 3)
   data::Schema schema;
@@ -247,8 +252,9 @@ Result<SnapshotInfo> InspectSnapshot(const std::string& path);
 /// shared_ptr) for as long as an evaluator serves from it.
 ///
 /// Unsupported versions (v1, unknown future ones) and corrupt files fail
-/// with InvalidArgument exactly like the streamed reader; the version is
-/// checked before the CRC pass, so that rejection is cheap.
+/// with InvalidArgument; the version is checked before the CRC pass, so
+/// that rejection is cheap. A file that cannot be opened or mapped fails
+/// with IOError.
 class MappedSnapshot {
  public:
   static Result<MappedSnapshot> Open(const std::string& path);
@@ -263,6 +269,20 @@ class MappedSnapshot {
   const std::vector<std::size_t>& dims() const { return dims_; }
   std::size_t num_cells() const { return values_.size(); }
   std::uint64_t file_bytes() const { return file_.size(); }
+  /// PVLS format version of the file (2 or 3).
+  std::uint32_t version() const { return version_; }
+
+  /// Payload section layout: file offset of the matrix values, and file
+  /// offset and byte length of the table entries (both 0 when the file
+  /// carries no table section). Offsets are multiples of the 64-byte
+  /// section alignment.
+  std::uint64_t values_offset() const { return values_offset_; }
+  std::uint64_t table_offset() const { return table_offset_; }
+  std::uint64_t table_bytes() const { return table_bytes_; }
+
+  /// Whether the file carries a table section at all, adoptable here or
+  /// not (has_prefix_table() is the adoptable case).
+  bool has_table_section() const { return table_bytes_ != 0; }
 
   /// The noisy matrix values, row-major, straight from the mapping.
   std::span<const double> matrix_values() const { return values_; }
@@ -278,7 +298,12 @@ class MappedSnapshot {
  private:
   MappedSnapshot() = default;
 
+  // The copy load moves the decoded header out and drops the mapped
+  // pages of each payload chunk it has copied.
+  friend Result<ReleaseSnapshot> ReadSnapshot(const std::string& path);
+
   common::MappedFile file_;
+  std::uint32_t version_ = 0;
   data::Schema schema_;
   std::string mechanism_;
   double epsilon_ = 0.0;
@@ -288,6 +313,9 @@ class MappedSnapshot {
   std::vector<std::size_t> dims_;
   std::span<const double> values_;
   std::span<const long double> table_;
+  std::uint64_t values_offset_ = 0;
+  std::uint64_t table_offset_ = 0;
+  std::uint64_t table_bytes_ = 0;
 };
 
 }  // namespace privelet::storage

@@ -6,12 +6,17 @@
 // allocations.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cfloat>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "privelet/common/thread_pool.h"
@@ -27,6 +32,44 @@
 #include "privelet/storage/crc32.h"
 #include "privelet/storage/session_io.h"
 #include "privelet/storage/snapshot.h"
+
+// Allocation probe for the CRC-valid mutation sweep below: while armed,
+// records the largest single operator-new request. Not compiled under
+// AddressSanitizer, whose own operator new must pair with its delete; the
+// sweep still runs there, checking for crashes and undefined behavior.
+#if defined(__SANITIZE_ADDRESS__)
+#define PRIVELET_ALLOCATION_PROBE 0
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define PRIVELET_ALLOCATION_PROBE 0
+#endif
+#endif
+#ifndef PRIVELET_ALLOCATION_PROBE
+#define PRIVELET_ALLOCATION_PROBE 1
+#endif
+
+namespace {
+std::atomic<bool> g_probe_armed{false};
+std::atomic<std::size_t> g_probe_largest{0};
+}  // namespace
+
+#if PRIVELET_ALLOCATION_PROBE
+void* operator new(std::size_t n) {
+  if (g_probe_armed.load(std::memory_order_relaxed)) {
+    std::size_t seen = g_probe_largest.load(std::memory_order_relaxed);
+    while (n > seen && !g_probe_largest.compare_exchange_weak(seen, n)) {
+    }
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler never sees free() paired with an inlined
+// operator new at a call site.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+#endif
 
 namespace privelet {
 namespace {
@@ -264,6 +307,190 @@ TEST(SnapshotTest, MissingFileIsAnIOError) {
 }
 
 // ---------------------------------------------------------------------------
+// One parser: every read entry point goes through MappedSnapshot::Open.
+
+// A small release made by the writer (160 cells, about 4 KiB with its
+// table), for the sweeps that write and parse one file per case.
+std::string SmallSnapshotBytes() {
+  std::vector<data::Attribute> attrs;
+  attrs.push_back(data::Attribute::Ordinal("Age", 8));
+  attrs.push_back(data::Attribute::Nominal(
+      "Occ", data::Hierarchy::FromGroupSizes({2, 3}).value()));
+  attrs.push_back(data::Attribute::Ordinal("Income", 4));
+  const data::Schema schema(std::move(attrs));
+  const std::string path = TempPath("small_src.pvls");
+  EXPECT_TRUE(
+      storage::SaveSession(path, PublishTestSession(schema, nullptr)).ok());
+  return ReadFileBytes(path);
+}
+
+TEST(SnapshotTest, EveryReaderRejectsADamagedFileWithTheSameStatus) {
+  const std::string bytes = SmallSnapshotBytes();
+  std::vector<std::pair<std::string, std::string>> damaged;
+  for (const std::size_t keep :
+       {std::size_t{0}, std::size_t{3}, std::size_t{8}, std::size_t{40},
+        bytes.size() / 2, bytes.size() - 5, bytes.size() - 1}) {
+    damaged.emplace_back("prefix of " + std::to_string(keep) + " bytes",
+                         bytes.substr(0, keep));
+  }
+  for (const std::size_t offset :
+       {std::size_t{0}, std::size_t{9}, std::size_t{60}, bytes.size() / 3,
+        2 * bytes.size() / 3, bytes.size() - 2}) {
+    std::string corrupted = bytes;
+    corrupted[offset] = static_cast<char>(corrupted[offset] ^ 0x40);
+    damaged.emplace_back("flip at " + std::to_string(offset),
+                         std::move(corrupted));
+  }
+  damaged.emplace_back("6 trailing bytes", bytes + std::string(6, '\0'));
+
+  const std::string path = TempPath("damaged.pvls");
+  for (const auto& [label, contents] : damaged) {
+    WriteFileBytes(path, contents);
+    const Status read = storage::ReadSnapshot(path).status();
+    const Status inspect = storage::InspectSnapshot(path).status();
+    const Status mapped = storage::MapSession(path).status();
+    EXPECT_FALSE(read.ok()) << label;
+    // ToString() carries both the StatusCode and the message.
+    EXPECT_EQ(read.ToString(), inspect.ToString()) << label;
+    EXPECT_EQ(read.ToString(), mapped.ToString()) << label;
+  }
+}
+
+struct FieldSpan {
+  std::size_t offset = 0;
+  std::size_t size = 0;
+};
+
+// The fields of a plan-less (v2) snapshot that the parser validates:
+// version, the length and count fields, the schema (attribute kinds,
+// ordinal domains, hierarchy node counts and fanouts), the dims, and the
+// table-section header. Walks the layout documented in snapshot.h.
+std::vector<FieldSpan> ValidatedFields(const std::string& bytes) {
+  std::vector<FieldSpan> fields;
+  std::size_t at = 0;
+  const auto value_at = [&bytes, &at](std::size_t size) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, bytes.data() + at, size);
+    return v;
+  };
+  const auto skip = [&at](std::size_t size) { at += size; };
+  const auto field = [&](std::size_t size) {
+    fields.push_back({at, size});
+    const std::uint64_t v = value_at(size);
+    at += size;
+    return v;
+  };
+  skip(4);                                 // magic
+  field(4);                                // version
+  skip(field(2));                          // mechanism id
+  skip(8 + 8 + 1 + 8);                     // epsilon, seed, engine options
+  const std::uint64_t num_attributes = field(4);
+  for (std::uint64_t a = 0; a < num_attributes; ++a) {
+    skip(field(2));                        // attribute name
+    if (field(1) == 1) {                   // kind: nominal
+      const std::uint64_t num_nodes = field(8);
+      for (std::uint64_t n = 0; n < num_nodes; ++n) field(4);  // fanouts
+    } else {
+      field(8);                            // ordinal domain
+    }
+  }
+  const std::uint64_t num_dims = field(4);
+  std::uint64_t cells = 1;
+  for (std::uint64_t d = 0; d < num_dims; ++d) cells *= field(8);
+  skip((64 - at % 64) % 64 + cells * sizeof(double));  // padding, values
+  field(1);                                // table flag
+  field(2);                                // accumulator mant_dig
+  field(2);                                // accumulator width
+  return fields;
+}
+
+// A seeded sweep of CRC-valid mutations: each case rewrites one or two
+// validated fields, then recomputes the trailing CRC, so the parser's
+// field checks — not the checksum — decide. Every case must come back as
+// a Status or as a snapshot whose dims match its schema, the entry points
+// must agree, and no single allocation may exceed the file size.
+TEST(SnapshotTest, CrcValidFieldMutationsAreRejectedOrConsistent) {
+  const std::string bytes = SmallSnapshotBytes();
+  const std::vector<FieldSpan> fields = ValidatedFields(bytes);
+  ASSERT_GT(fields.size(), 20u);
+  rng::Xoshiro256pp gen(2026);
+  const std::string path = TempPath("mutated.pvls");
+  std::size_t accepted = 0;
+  for (int c = 0; c < 2000; ++c) {
+    std::string mutated = bytes;
+    const std::uint64_t num_edits = gen.NextUint64InRange(1, 2);
+    for (std::uint64_t e = 0; e < num_edits; ++e) {
+      const FieldSpan f = fields[gen.NextUint64InRange(0, fields.size() - 1)];
+      std::uint64_t value = gen.Next();
+      switch (gen.NextUint64InRange(0, 2)) {
+        case 0:  // small: the values most likely to pass a bounds check
+          value %= 16;
+          break;
+        case 1: {  // near the original
+          std::uint64_t old = 0;
+          std::memcpy(&old, mutated.data() + f.offset, f.size);
+          value = old + value % 5 - 2;
+          break;
+        }
+        default:  // uniformly random bytes
+          break;
+      }
+      std::memcpy(mutated.data() + f.offset, &value, f.size);
+    }
+    const std::uint32_t crc =
+        storage::Crc32(mutated.data(), mutated.size() - sizeof(crc));
+    std::memcpy(mutated.data() + mutated.size() - sizeof(crc), &crc,
+                sizeof(crc));
+    WriteFileBytes(path, mutated);
+
+    g_probe_largest.store(0);
+    g_probe_armed.store(true);
+    auto read = storage::ReadSnapshot(path);
+    const bool inspected = storage::InspectSnapshot(path).ok();
+    const bool mapped = storage::MapSession(path).ok();
+    g_probe_armed.store(false);
+    EXPECT_EQ(read.ok(), inspected) << "case " << c;
+    EXPECT_EQ(read.ok(), mapped) << "case " << c;
+    if (read.ok()) {
+      ++accepted;
+      EXPECT_EQ(read->schema.DomainSizes(), read->published.dims())
+          << "case " << c;
+      if (read->prefix.has_value()) {
+        EXPECT_EQ(read->published.dims(), read->prefix->dims())
+            << "case " << c;
+      }
+    }
+#if PRIVELET_ALLOCATION_PROBE
+    EXPECT_LE(g_probe_largest.load(), mutated.size()) << "case " << c;
+#endif
+  }
+  // Some edits leave a field as it was (or only make the table section
+  // unadoptable), so both outcomes are exercised.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, 2000u);
+}
+
+// Regression: a CRC-valid snapshot with no table and a tile_lines field of
+// 2^64 - 1 wrapped the tiled rebuild's panel count to zero, so the served
+// table skipped its prefix passes and every answer was wrong.
+TEST(SnapshotTest, HugeTileLinesFieldStillRebuildsTheTable) {
+  const data::Schema schema = TestSchema();
+  const query::PublishingSession original =
+      PublishTestSession(schema, nullptr);
+  const std::vector<query::RangeQuery> workload = TestWorkload(schema, 200);
+  storage::ReleaseSnapshot snapshot = original.ToSnapshot();
+  snapshot.prefix.reset();
+  snapshot.engine_options = matrix::MakeEngineOptions(
+      matrix::LineEngine::kTiled, std::numeric_limits<std::size_t>::max());
+  const std::string path = TempPath("huge_tile.pvls");
+  ASSERT_TRUE(storage::WriteSnapshot(path, snapshot).ok());
+
+  auto mapped = storage::MapSession(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_EQ(original.AnswerAll(workload), mapped->AnswerAll(workload));
+}
+
+// ---------------------------------------------------------------------------
 // Handcrafted files: lock the byte format and exercise the defensive
 // checks that a writer can never produce (overflowing dims, payloads
 // larger than the file).
@@ -482,8 +709,6 @@ TEST(SnapshotTest, LegacyV1SnapshotIsRejectedByVersion) {
                        "InspectSnapshot");
   expect_version_error(storage::ReadSnapshot(path).status(), "ReadSnapshot");
   expect_version_error(storage::MapSession(path).status(), "MapSession");
-  expect_version_error(storage::OpenServingSession(path).status(),
-                       "OpenServingSession");
   query::ReleaseStore store;
   ASSERT_TRUE(store.Register("v1", path).ok());
   expect_version_error(store.Acquire("v1").status(), "ReleaseStore::Acquire");
